@@ -58,11 +58,16 @@ BENCHMARK(BM_CellGridFrame960x540);
 
 // --- tile-size sweep: gradient + histogram kernels at candidate tile dims ---
 // The UHD pipeline (pdet::tile) picks a core tile size; these rows show what
-// the two dominant per-pixel kernels cost per candidate: VGA-class 640x480,
-// the default 960x544 tile (plus halo it crops ~1200x800, dominated by the
-// same per-pixel cost), and 720p-class 1280x720. Pixels/sec should be flat —
-// all three fit streaming access patterns — so the tile size choice is about
-// halo overhead, not kernel efficiency (see DESIGN.md tiling section).
+// the per-pixel front end costs per candidate: VGA-class 640x480, the
+// default 960x544 tile (plus halo it crops ~1200x800, dominated by the same
+// per-pixel cost), and 720p-class 1280x720. The cell-grid rows are the
+// engine's whole front end — one row-streaming pass from pixels to
+// histograms that keeps only row buffers. The gradient rows run the same
+// row pass but store all four full-frame planes, so their extra cost over
+// the shared row work is memory traffic the engine never pays. Pixels/sec
+// should be flat across sizes — the row buffers stay cache-resident at every
+// width — so the tile size choice is about halo overhead, not kernel
+// efficiency (see DESIGN.md tiling section).
 void BM_GradientTileSweep(benchmark::State& state) {
   const int w = static_cast<int>(state.range(0));
   const int h = static_cast<int>(state.range(1));

@@ -66,14 +66,23 @@ void require_frame_alignment(int width, int height, const HogParams& params);
 CellGrid compute_cell_grid(const imgproc::ImageF& image,
                            const HogParams& params);
 
-/// `compute_cell_grid` into a caller-owned grid, routing the intermediate
-/// gradient planes through `grad_scratch` — with warm buffers the whole
-/// stage performs no allocation (the DetectionEngine workspace path). The
-/// one exception is `params.presmooth_sigma > 0`, whose Gaussian pass still
-/// allocates a temporary (the paper's configuration uses sigma = 0).
+/// `compute_cell_grid` into a caller-owned grid. One pass per image row:
+/// imgproc::gradient_row produces the row's magnitudes and orientations,
+/// their votes gather in one cell-row buffer, and that buffer is added to
+/// the two nearest cell rows — no gradient plane is ever stored, as in the
+/// paper's line-buffer datapath. `row_scratch` holds the row buffers: every
+/// plane is re-shaped to a single row (magnitude and angle to the image
+/// width, fx to the cell-row votes, fy to the per-column spatial weights),
+/// so with warm buffers the stage performs no allocation (the
+/// DetectionEngine workspace path). The one exception is
+/// `params.presmooth_sigma > 0`, whose Gaussian pass still allocates a
+/// temporary (the paper's configuration uses sigma = 0).
+///
+/// Total for any pixel values: a pixel whose gradient is not finite casts
+/// no vote, and every orientation bin index stays inside [0, bins).
 void compute_cell_grid_into(const imgproc::ImageF& image,
                             const HogParams& params,
-                            imgproc::GradientField& grad_scratch,
+                            imgproc::GradientField& row_scratch,
                             CellGrid& out);
 
 }  // namespace pdet::hog

@@ -3,6 +3,12 @@
 // Dalal & Triggs found the plain centered [-1 0 1] mask (no smoothing) to be
 // the best-performing gradient operator for HOG; the paper's hardware uses
 // the same. Orientation is *unsigned*: theta is folded into [0, pi).
+//
+// Every gradient in pdet comes from one row pass, `gradient_row`: the
+// full-plane `compute_gradients_into` stores its rows, and hog's cell-grid
+// kernel streams them straight into histograms without keeping a plane (the
+// accelerator's line-buffer dataflow). Orientation is a branch-free
+// polynomial arctangent (max error ~2e-7 rad against atan2), not std::atan2.
 #pragma once
 
 #include "src/imgproc/image.hpp"
@@ -36,8 +42,13 @@ GradientField compute_gradients(const ImageF& src,
 void compute_gradients_into(const ImageF& src, GradientOp op,
                             GradientField& out);
 
-/// Fold an arbitrary angle (radians) into the unsigned-orientation interval
-/// [0, pi).
-float fold_unsigned(float angle_radians);
+/// Row `y` of the gradient field of `src` (borders replicated): magnitude
+/// and unsigned orientation into two buffers of src.width() floats — the
+/// same values compute_gradients_into stores. A pixel whose magnitude is not
+/// finite (a NaN or infinite pixel in its stencil, or an overflowing square)
+/// gets magnitude 0 and orientation 0, so it can never cast a histogram
+/// vote; orientations always lie in [0, pi).
+void gradient_row(const ImageF& src, int y, GradientOp op, float* magnitude,
+                  float* angle);
 
 }  // namespace pdet::imgproc

@@ -114,7 +114,7 @@ struct ServerOptions {
   InputGuardOptions guard;         ///< frame-integrity gate (off by default)
 
   // Scoring backend + cross-stream batching (DESIGN "Scoring backends").
-  /// Which backend classifies windows. kAuto = PDET_SCORE_BACKEND or scalar;
+  /// Which backend classifies windows. kAuto = PDET_SCORE_BACKEND or batch;
   /// kHwsim builds the MACBAR offload model (one device, shared by all
   /// workers through a single-lane hub).
   score::BackendKind backend = score::BackendKind::kAuto;

@@ -48,13 +48,13 @@ namespace {
 
 // PDET_SCORE_BACKEND applies only to kAuto requests, so a test (or user)
 // that pins a backend explicitly is never silently overridden by CI's
-// forced-batch matrix entry. Only CPU backends are accepted: hwsim needs a
+// forced-scalar matrix entry. Only CPU backends are accepted: hwsim needs a
 // constructed device, which an env var cannot conjure.
 BackendKind env_default() {
   static const BackendKind cached = [] {
     const char* env = std::getenv("PDET_SCORE_BACKEND");
-    if (env == nullptr || *env == '\0') return BackendKind::kScalar;
-    BackendKind parsed = BackendKind::kScalar;
+    if (env == nullptr || *env == '\0') return BackendKind::kBatch;
+    BackendKind parsed = BackendKind::kBatch;
     if (parse_backend(env, parsed) && (parsed == BackendKind::kScalar ||
                                        parsed == BackendKind::kBatch)) {
       return parsed;
@@ -62,7 +62,7 @@ BackendKind env_default() {
     std::fprintf(stderr,
                  "pdet: ignoring PDET_SCORE_BACKEND=%s (want scalar|batch)\n",
                  env);
-    return BackendKind::kScalar;
+    return BackendKind::kBatch;
   }();
   return cached;
 }

@@ -43,10 +43,11 @@
 namespace pdet::score {
 
 /// Which scoring implementation serves a pipeline. kAuto resolves to the
-/// PDET_SCORE_BACKEND environment override (CI forces `batch` there) or to
-/// kScalar — the bit-identical port of the pre-backend code path.
+/// PDET_SCORE_BACKEND environment override (CI forces `scalar` there) or to
+/// kBatch, the blocked kernel. kScalar is the bit-identical port of the
+/// pre-backend code path that tests pin for decision() equality.
 enum class BackendKind : std::uint8_t {
-  kAuto = 0,   ///< resolve via environment, default kScalar
+  kAuto = 0,   ///< resolve via environment, default kBatch
   kScalar = 1, ///< per-row svm::LinearModel::decision (bit-identical)
   kBatch = 2,  ///< blocked/unrolled batch kernel (bounded-ULP vs scalar)
   kHwsim = 3,  ///< MACBAR offload model (quantized, simulated latency)
@@ -59,7 +60,7 @@ const char* to_string(BackendKind kind);
 bool parse_backend(std::string_view name, BackendKind& out);
 
 /// Resolve kAuto: PDET_SCORE_BACKEND=scalar|batch (read once per process)
-/// or kScalar. Explicit kinds pass through untouched, so tests pinning a
+/// or kBatch. Explicit kinds pass through untouched, so tests pinning a
 /// backend stay pinned under the CI override.
 BackendKind resolve(BackendKind requested);
 

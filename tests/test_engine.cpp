@@ -2,6 +2,9 @@
 // chain, buffer-reuse determinism, and thread-count invariance.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "src/core/pedestrian_detector.hpp"
 #include "src/detect/engine.hpp"
 #include "src/detect/multiscale.hpp"
@@ -78,7 +81,9 @@ class EngineTest : public ::testing::TestWithParam<PyramidStrategy> {
 
 TEST_P(EngineTest, MatchesFreeFunctionChain) {
   const MultiscaleOptions opts = options();
-  DetectionEngine engine;
+  // Pinned scalar: the free chain scores through the scalar reference
+  // backend and the comparison is bitwise.
+  DetectionEngine engine(EngineOptions{.backend = score::BackendKind::kScalar});
   const MultiscaleResult& got =
       engine.process(frame_, params_, model_, opts);
   const MultiscaleResult want =
@@ -134,6 +139,22 @@ TEST_P(EngineTest, ThreadCountDoesNotChangeResults) {
   }
 }
 
+TEST_P(EngineTest, NonFinitePixelsDoNotCrash) {
+  // One NaN or infinite pixel used to index far outside the histogram grid.
+  const MultiscaleOptions opts = options();
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()}) {
+    imgproc::ImageF frame = make_frame(320, 240, 8);
+    frame.at(161, 117) = bad;
+    frame.at(0, 239) = bad;
+    DetectionEngine engine;
+    const MultiscaleResult& result = engine.process(frame, params_, model_, opts);
+    EXPECT_GT(result.windows_evaluated, 0);
+    for (const Detection& d : result.raw) EXPECT_TRUE(std::isfinite(d.score));
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllStrategies, EngineTest,
                          ::testing::Values(PyramidStrategy::kImage,
                                            PyramidStrategy::kFeature,
@@ -153,8 +174,8 @@ TEST(EngineScoreWindow, MatchesFreeChainAndReuses) {
   const imgproc::ImageF oversized = make_frame(96, 160, 22);
 
   // Pinned scalar: the free chain is the per-row decision() reference, and
-  // this assertion is bitwise. Under kAuto the CI forced-batch override
-  // would swap the kernel and turn "equal" into "a few ULP apart".
+  // this assertion is bitwise. kAuto would resolve to the batch kernel and
+  // turn "equal" into "a few ULP apart".
   DetectionEngine engine(
       EngineOptions{.backend = score::BackendKind::kScalar});
   const auto free_score = [&](const imgproc::ImageF& img) {

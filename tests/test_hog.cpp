@@ -1,7 +1,9 @@
 // Unit tests for src/hog: cell histograms, block normalization, descriptors.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <vector>
 
@@ -9,6 +11,7 @@
 #include "src/hog/cell_grid.hpp"
 #include "src/hog/descriptor.hpp"
 #include "src/hog/visualize.hpp"
+#include "src/imgproc/convolve.hpp"
 #include "src/imgproc/gradient.hpp"
 #include "src/util/rng.hpp"
 
@@ -326,6 +329,278 @@ TEST(Descriptor, LargerImageCenterCropped) {
     EXPECT_NEAR(desc_big[off + static_cast<std::size_t>(k)],
                 desc_center[off + static_cast<std::size_t>(k)], 1e-4f);
   }
+}
+
+// --- reference chain ------------------------------------------------------
+// The plane-based chain the row-streaming kernel replaced, kept here as the
+// oracle: full-frame gradient planes with std::atan2 folded by fmod, then a
+// second pass casting up to eight votes per pixel straight into the grid.
+
+float fold_unsigned(float angle_radians) {
+  float a = std::fmod(angle_radians, kPi);
+  if (a < 0.0f) a += kPi;
+  // fmod can return exactly pi for inputs like -1e-8 after the correction.
+  if (a >= kPi) a -= kPi;
+  return a;
+}
+
+struct ReferenceGradients {
+  imgproc::ImageF magnitude;
+  imgproc::ImageF angle;
+};
+
+ReferenceGradients reference_gradients(const imgproc::ImageF& src,
+                                       imgproc::GradientOp op) {
+  using imgproc::GradientOp;
+  const int w = src.width();
+  const int h = src.height();
+  ReferenceGradients g{imgproc::ImageF(w, h), imgproc::ImageF(w, h)};
+  for (int y = 0; y < h; ++y) {
+    for (int x = 0; x < w; ++x) {
+      float dx = 0.0f;
+      float dy = 0.0f;
+      switch (op) {
+        case GradientOp::kCentered:
+          dx = src.at_clamped(x + 1, y) - src.at_clamped(x - 1, y);
+          dy = src.at_clamped(x, y + 1) - src.at_clamped(x, y - 1);
+          break;
+        case GradientOp::kOneSided:
+          dx = src.at_clamped(x + 1, y) - src.at_clamped(x, y);
+          dy = src.at_clamped(x, y + 1) - src.at_clamped(x, y);
+          break;
+        case GradientOp::kSobel:
+        case GradientOp::kPrewitt: {
+          const float c = op == GradientOp::kSobel ? 2.0f : 1.0f;
+          const float inv = 1.0f / (2.0f + c);
+          dx = inv * ((src.at_clamped(x + 1, y - 1) - src.at_clamped(x - 1, y - 1)) +
+                      c * (src.at_clamped(x + 1, y) - src.at_clamped(x - 1, y)) +
+                      (src.at_clamped(x + 1, y + 1) - src.at_clamped(x - 1, y + 1)));
+          dy = inv * ((src.at_clamped(x - 1, y + 1) - src.at_clamped(x - 1, y - 1)) +
+                      c * (src.at_clamped(x, y + 1) - src.at_clamped(x, y - 1)) +
+                      (src.at_clamped(x + 1, y + 1) - src.at_clamped(x + 1, y - 1)));
+          break;
+        }
+      }
+      g.magnitude.at(x, y) = std::sqrt(dx * dx + dy * dy);
+      g.angle.at(x, y) = fold_unsigned(std::atan2(dy, dx));
+    }
+  }
+  return g;
+}
+
+/// Votes of `g` into a grid. With orientation_interp off, a pixel whose
+/// angle lies within float rounding of a bin edge may land in either
+/// neighbouring bin under any arctangent; `edge_cells` (if given) marks the
+/// cells such pixels vote into.
+CellGrid reference_votes(const ReferenceGradients& g, const HogParams& params,
+                         std::vector<bool>* edge_cells = nullptr) {
+  const int cell = params.cell_size;
+  const int cells_x = g.magnitude.width() / cell;
+  const int cells_y = g.magnitude.height() / cell;
+  CellGrid grid(cells_x, cells_y, params.bins);
+  if (edge_cells != nullptr) {
+    edge_cells->assign(static_cast<std::size_t>(cells_x * cells_y), false);
+  }
+  const float bin_width = kPi / static_cast<float>(params.bins);
+  const float inv_bin_width = 1.0f / bin_width;
+  const float inv_cell = 1.0f / static_cast<float>(cell);
+  for (int y = 0; y < cells_y * cell; ++y) {
+    for (int x = 0; x < cells_x * cell; ++x) {
+      const float mag = g.magnitude.at(x, y);
+      if (mag == 0.0f) continue;
+      const float angle = g.angle.at(x, y);
+      int bin0;
+      int bin1;
+      float w1;
+      bool edge = false;
+      if (params.orientation_interp) {
+        const float pos = angle * inv_bin_width - 0.5f;
+        const float floor_pos = std::floor(pos);
+        bin0 = static_cast<int>(floor_pos);
+        w1 = pos - floor_pos;
+        bin1 = bin0 + 1;
+        if (bin0 < 0) bin0 += params.bins;
+        if (bin1 >= params.bins) bin1 -= params.bins;
+      } else {
+        const float pos = angle * inv_bin_width;
+        bin0 = std::min(static_cast<int>(pos), params.bins - 1);
+        bin1 = bin0;
+        w1 = 0.0f;
+        // Angle exactly 0 (a horizontal gradient) is exact in any arctangent.
+        edge = pos > 0.0f && std::fabs(pos - std::round(pos)) < 3e-6f;
+      }
+      auto vote_cell = [&](int cx, int cy, float weight) {
+        if (cx < 0 || cx >= cells_x || cy < 0 || cy >= cells_y) return;
+        if (edge && edge_cells != nullptr) {
+          (*edge_cells)[static_cast<std::size_t>(cy * cells_x + cx)] = true;
+        }
+        auto h = grid.hist(cx, cy);
+        h[static_cast<std::size_t>(bin0)] += weight * mag * (1.0f - w1);
+        if (w1 > 0.0f) h[static_cast<std::size_t>(bin1)] += weight * mag * w1;
+      };
+      if (params.spatial_interp) {
+        const float fx = (static_cast<float>(x) + 0.5f) * inv_cell - 0.5f;
+        const float fy = (static_cast<float>(y) + 0.5f) * inv_cell - 0.5f;
+        const int cx0 = static_cast<int>(std::floor(fx));
+        const int cy0 = static_cast<int>(std::floor(fy));
+        const float wx1 = fx - static_cast<float>(cx0);
+        const float wy1 = fy - static_cast<float>(cy0);
+        vote_cell(cx0, cy0, (1.0f - wx1) * (1.0f - wy1));
+        vote_cell(cx0 + 1, cy0, wx1 * (1.0f - wy1));
+        vote_cell(cx0, cy0 + 1, (1.0f - wx1) * wy1);
+        vote_cell(cx0 + 1, cy0 + 1, wx1 * wy1);
+      } else {
+        vote_cell(x / cell, y / cell, 1.0f);
+      }
+    }
+  }
+  return grid;
+}
+
+/// Random frame pushed through a steep transfer curve: large flat regions
+/// clipped at 0 and 1 with hard edges between them.
+imgproc::ImageF saturated_image(int w, int h, std::uint64_t seed) {
+  imgproc::ImageF img = random_image(w, h, seed);
+  for (float& p : img.pixels()) p = std::clamp(3.0f * p - 1.0f, 0.0f, 1.0f);
+  return img;
+}
+
+struct KernelCase {
+  const char* name;
+  imgproc::ImageF image;
+};
+
+TEST(CellGridKernel, MatchesPlaneReferenceChain) {
+  using imgproc::GradientOp;
+  std::vector<KernelCase> cases;
+  cases.push_back({"random 70x130", random_image(70, 130, 31)});
+  cases.push_back({"random 640x480", random_image(640, 480, 32)});
+  cases.push_back({"random 1920x1072", random_image(1920, 1072, 33)});
+  cases.push_back({"constant 320x240", imgproc::ImageF(320, 240, 0.5f)});
+  cases.push_back({"saturated 320x240", saturated_image(320, 240, 34)});
+
+  int compared_cells = 0;
+  int edge_cells_skipped = 0;
+  for (const KernelCase& c : cases) {
+    for (const GradientOp op : {GradientOp::kCentered, GradientOp::kSobel,
+                                GradientOp::kPrewitt, GradientOp::kOneSided}) {
+      for (const float sigma : {0.0f, 1.0f}) {
+        const ReferenceGradients ref_grad = reference_gradients(
+            sigma > 0.0f ? imgproc::gaussian_blur(c.image, sigma) : c.image,
+            op);
+        for (const bool spatial : {true, false}) {
+          for (const bool orientation : {true, false}) {
+            HogParams p = default_params();
+            p.gradient_op = op;
+            p.presmooth_sigma = sigma;
+            p.spatial_interp = spatial;
+            p.orientation_interp = orientation;
+            SCOPED_TRACE(testing::Message()
+                         << c.name << " op " << static_cast<int>(op)
+                         << " sigma " << sigma << " spatial " << spatial
+                         << " orientation " << orientation);
+            std::vector<bool> edge;
+            const CellGrid want = reference_votes(ref_grad, p, &edge);
+            const CellGrid got = compute_cell_grid(c.image, p);
+            ASSERT_EQ(got.cells_x(), want.cells_x());
+            ASSERT_EQ(got.cells_y(), want.cells_y());
+            float max_bin = 0.0f;
+            for (const float v : want.data()) max_bin = std::max(max_bin, v);
+            const float tol = 1e-5f * max_bin;
+            for (int cy = 0; cy < want.cells_y(); ++cy) {
+              for (int cx = 0; cx < want.cells_x(); ++cx) {
+                if (edge[static_cast<std::size_t>(cy * want.cells_x() + cx)]) {
+                  ++edge_cells_skipped;
+                  continue;
+                }
+                ++compared_cells;
+                const auto a = got.hist(cx, cy);
+                const auto b = want.hist(cx, cy);
+                for (std::size_t k = 0; k < a.size(); ++k) {
+                  ASSERT_LE(std::fabs(a[k] - b[k]), tol)
+                      << "cell " << cx << "," << cy << " bin " << k
+                      << " max bin " << max_bin;
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  // Edge-of-bin pixels are a rounding-level rarity, not a loophole.
+  EXPECT_LT(edge_cells_skipped, compared_cells / 100);
+}
+
+/// Frame with one non-finite pixel at (x, y).
+imgproc::ImageF with_bad_pixel(imgproc::ImageF img, int x, int y, float v) {
+  img.at(x, y) = v;
+  return img;
+}
+
+TEST(CellGridKernel, NonFinitePixelsCastNoVote) {
+  using imgproc::GradientOp;
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const imgproc::ImageF clean = random_image(320, 240, 41);
+  for (const GradientOp op : {GradientOp::kCentered, GradientOp::kSobel,
+                              GradientOp::kPrewitt, GradientOp::kOneSided}) {
+    for (const bool orientation : {true, false}) {
+      HogParams p = default_params();
+      p.gradient_op = op;
+      p.orientation_interp = orientation;
+      const CellGrid want = compute_cell_grid(clean, p);
+      for (const float bad : {std::numeric_limits<float>::quiet_NaN(), kInf,
+                              -kInf, std::numeric_limits<float>::max()}) {
+        for (const auto& [px, py] :
+             {std::pair{161, 117}, std::pair{0, 0}, std::pair{319, 239},
+              std::pair{8, 239}}) {
+          SCOPED_TRACE(testing::Message() << "op " << static_cast<int>(op)
+                                          << " value " << bad << " at " << px
+                                          << "," << py);
+          const CellGrid got =
+              compute_cell_grid(with_bad_pixel(clean, px, py, bad), p);
+          const int bx = px / p.cell_size;
+          const int by = py / p.cell_size;
+          for (int cy = 0; cy < got.cells_y(); ++cy) {
+            for (int cx = 0; cx < got.cells_x(); ++cx) {
+              const auto a = got.hist(cx, cy);
+              for (const float v : a) ASSERT_TRUE(std::isfinite(v));
+              if (std::abs(cx - bx) <= 1 && std::abs(cy - by) <= 1) continue;
+              const auto b = want.hist(cx, cy);
+              for (std::size_t k = 0; k < a.size(); ++k) {
+                ASSERT_EQ(a[k], b[k]) << "cell " << cx << "," << cy;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(CellGridKernel, AllNonFiniteFrameGivesEmptyHistograms) {
+  const HogParams p = default_params();
+  const CellGrid g = compute_cell_grid(
+      imgproc::ImageF(64, 64, std::numeric_limits<float>::quiet_NaN()), p);
+  for (const float v : g.data()) EXPECT_EQ(v, 0.0f);
+}
+
+TEST(CellGridKernel, ScratchShrinksToOneRow) {
+  const HogParams p = default_params();
+  const imgproc::ImageF img = random_image(256, 192, 42);
+  imgproc::GradientField scratch;
+  CellGrid grid;
+  compute_cell_grid_into(img, p, scratch, grid);
+  EXPECT_EQ(scratch.magnitude.height(), 1);
+  EXPECT_EQ(scratch.angle.height(), 1);
+  EXPECT_EQ(scratch.fx.height(), 1);
+  EXPECT_EQ(scratch.fy.height(), 1);
+  const std::size_t warm = scratch.magnitude.capacity_bytes() +
+                           scratch.angle.capacity_bytes() +
+                           scratch.fx.capacity_bytes() +
+                           scratch.fy.capacity_bytes();
+  EXPECT_LE(warm, 16u * 256u + 4u * 34u * 9u);  // rows, never planes
+  EXPECT_EQ(grid.data().size(), compute_cell_grid(img, p).data().size());
 }
 
 TEST(Descriptor, DeterministicAcrossCalls) {

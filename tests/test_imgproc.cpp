@@ -1,7 +1,9 @@
 // Unit tests for src/imgproc: containers, I/O, resampling, gradients, draw.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <string>
 
@@ -354,19 +356,65 @@ TEST(Gradient, SobelSmoothsNoiseMoreThanCentered) {
   EXPECT_LT(mean_mag(GradientOp::kSobel), mean_mag(GradientOp::kCentered));
 }
 
-TEST(Gradient, FoldUnsignedProperties) {
+TEST(Gradient, OrientationMatchesAtan2InEveryOctant) {
+  // The polynomial arctangent against atan2 folded into [0, pi), over every
+  // direction (both signs of both components, axes and diagonals included)
+  // and over the pixels of a random frame.
   constexpr float kPi = std::numbers::pi_v<float>;
-  EXPECT_NEAR(fold_unsigned(0.0f), 0.0f, 1e-7f);
-  EXPECT_NEAR(fold_unsigned(kPi + 0.3f), 0.3f, 1e-5f);
-  EXPECT_NEAR(fold_unsigned(-0.3f), kPi - 0.3f, 1e-5f);
-  for (float a = -7.0f; a < 7.0f; a += 0.37f) {
-    const float f = fold_unsigned(a);
-    EXPECT_GE(f, 0.0f);
-    EXPECT_LT(f, kPi);
-    // Folding is idempotent and pi-periodic.
-    EXPECT_NEAR(fold_unsigned(f), f, 1e-5f);
-    EXPECT_NEAR(fold_unsigned(a + kPi), f, 1e-4f);
+  const auto reference = [](float dx, float dy) {
+    float a = std::atan2(dy, dx);
+    if (a < 0.0f) a += kPi;
+    return a >= kPi ? 0.0f : a;
+  };
+  const auto circular_error = [](float a, float b) {
+    const float d = std::fabs(a - b);
+    return std::min(d, std::fabs(d - kPi));
+  };
+  ImageF ring(3, 3, 0.0f);
+  float worst = 0.0f;
+  for (int k = 0; k < 4096; ++k) {
+    const float phi = 2.0f * kPi * static_cast<float>(k) / 4096.0f;
+    // Centered difference at (1, 1): dx = right - left, dy = below - above.
+    ring.at(2, 1) = 0.5f * std::cos(phi);
+    ring.at(0, 1) = -0.5f * std::cos(phi);
+    ring.at(1, 2) = 0.5f * std::sin(phi);
+    ring.at(1, 0) = -0.5f * std::sin(phi);
+    const GradientField g = compute_gradients(ring);
+    const float got = g.angle.at(1, 1);
+    EXPECT_GE(got, 0.0f);
+    EXPECT_LT(got, kPi);
+    worst = std::max(worst, circular_error(got, reference(g.fx.at(1, 1),
+                                                         g.fy.at(1, 1))));
   }
+  util::Rng rng(9);
+  ImageF img(256, 256);
+  for (float& p : img.pixels()) p = static_cast<float>(rng.uniform());
+  const GradientField g = compute_gradients(img);
+  for (int y = 0; y < img.height(); ++y) {
+    for (int x = 0; x < img.width(); ++x) {
+      const float got = g.angle.at(x, y);
+      EXPECT_GE(got, 0.0f);
+      EXPECT_LT(got, kPi);
+      worst = std::max(worst, circular_error(got, reference(g.fx.at(x, y),
+                                                           g.fy.at(x, y))));
+    }
+  }
+  EXPECT_LT(worst, 1e-6f);
+}
+
+TEST(Gradient, NonFiniteGradientsCarryNoMagnitude) {
+  ImageF img(8, 8, 0.25f);
+  img.at(4, 4) = std::numeric_limits<float>::quiet_NaN();
+  img.at(0, 0) = std::numeric_limits<float>::infinity();
+  const GradientField g = compute_gradients(img);
+  for (int y = 0; y < 8; ++y) {
+    for (int x = 0; x < 8; ++x) {
+      EXPECT_TRUE(std::isfinite(g.magnitude.at(x, y)));
+      EXPECT_TRUE(std::isfinite(g.angle.at(x, y)));
+    }
+  }
+  EXPECT_EQ(g.magnitude.at(4, 3), 0.0f);  // NaN above/below in its stencil
+  EXPECT_EQ(g.magnitude.at(1, 0), 0.0f);  // infinity to its left
 }
 
 TEST(Convolve, GaussianKernelNormalizedAndSymmetric) {

@@ -5,6 +5,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -347,6 +349,9 @@ ServerOptions nominal_options() {
   // not shedding behaviour.
   opts.scheduler.max_level = 0;
   opts.multiscale.scales = {1.0, 1.5, 2.0};
+  // The reference below is the free chain, which scores through the scalar
+  // backend; detections are compared bitwise.
+  opts.backend = score::BackendKind::kScalar;
   return opts;
 }
 
@@ -424,6 +429,40 @@ TEST(DetectionServer, NominalLoadCompletesEveryFrameInOrder) {
   EXPECT_EQ(stats.engine_frames, kStreams * kFrames);
   EXPECT_GT(stats.engine_alloc_bytes, 0u);
   EXPECT_GT(stats.aggregate_fps, 0.0);
+}
+
+TEST(DetectionServer, NonFiniteFramesAreDeliveredExactlyOnce) {
+  for (const bool guarded : {false, true}) {
+    SCOPED_TRACE(guarded ? "guard on" : "guard off");
+    ServerOptions opts = nominal_options();
+    opts.guard.enabled = guarded;
+    const svm::LinearModel model = make_model(opts.hog, 13);
+    DetectionServer server(model, opts);
+    std::vector<std::uint64_t> sequences;
+    std::mutex mu;
+    server.add_stream("cam", [&](const StreamResult& r) {
+      const std::lock_guard<std::mutex> lock(mu);
+      sequences.push_back(r.sequence);
+    });
+    server.start();
+    imgproc::ImageF nan_frame = make_frame(160, 160, 7);
+    nan_frame.at(80, 80) = std::numeric_limits<float>::quiet_NaN();
+    imgproc::ImageF inf_frame = make_frame(160, 160, 8);
+    inf_frame.at(0, 0) = std::numeric_limits<float>::infinity();
+    const imgproc::ImageF all_nan(160, 160,
+                                  std::numeric_limits<float>::quiet_NaN());
+    for (const imgproc::ImageF* f :
+         std::initializer_list<const imgproc::ImageF*>{&nan_frame, &inf_frame,
+                                                       &all_nan}) {
+      EXPECT_EQ(server.submit(0, *f), SubmitStatus::kAccepted);
+    }
+    server.drain();
+    server.stop();
+    EXPECT_EQ(sequences, (std::vector<std::uint64_t>{0, 1, 2}));
+    // Processed by an engine, or short-circuited by the gate: never both.
+    const RuntimeStats stats = server.stats();
+    EXPECT_EQ(stats.completed + stats.guard_unusable, 3);
+  }
 }
 
 TEST(DetectionServer, OverloadShedsInsteadOfGrowingTheQueue) {

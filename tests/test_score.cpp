@@ -118,7 +118,7 @@ TEST(BackendKind, ParseAcceptsCliSpellingsAndRejectsJunk) {
 
 TEST(BackendKind, ResolvePinsExplicitKindsAndGroundsAuto) {
   // Explicit kinds pass through untouched — the property that keeps tests
-  // pinned under CI's PDET_SCORE_BACKEND=batch matrix entry.
+  // pinned under CI's PDET_SCORE_BACKEND=scalar matrix entry.
   EXPECT_EQ(resolve(BackendKind::kScalar), BackendKind::kScalar);
   EXPECT_EQ(resolve(BackendKind::kBatch), BackendKind::kBatch);
   EXPECT_EQ(resolve(BackendKind::kHwsim), BackendKind::kHwsim);
@@ -128,9 +128,12 @@ TEST(BackendKind, ResolvePinsExplicitKindsAndGroundsAuto) {
   const BackendKind resolved = resolve(BackendKind::kAuto);
   EXPECT_TRUE(resolved == BackendKind::kScalar ||
               resolved == BackendKind::kBatch);
+  // Without an override kAuto is the batch kernel.
   const char* env = std::getenv("PDET_SCORE_BACKEND");
-  if (env != nullptr && std::string_view(env) == "batch") {
+  if (env == nullptr || std::string_view(env) != "scalar") {
     EXPECT_EQ(resolved, BackendKind::kBatch);
+  } else {
+    EXPECT_EQ(resolved, BackendKind::kScalar);
   }
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -153,6 +155,29 @@ TEST(FrameAlignment, EngineRejectsMisalignedFrames) {
   EXPECT_NO_THROW(engine.process(good, params, model, ms));
   EXPECT_THROW(detect_multiscale(bad, params, model, ms),
                std::invalid_argument);
+}
+
+TEST(TileEngine, NonFinitePixelsDoNotCrash) {
+  hog::HogParams params;
+  const svm::LinearModel model = random_model(params, 3);
+  detect::MultiscaleOptions ms;
+  ms.scales = {1.0, 2.0};
+  tile::TileEngineOptions topts;
+  topts.plan.tile_width = 256;
+  topts.plan.tile_height = 192;
+  topts.threads = 2;
+  tile::TileEngine tiled(topts);
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity()}) {
+    imgproc::ImageF frame = scene_frame(512, 384, 5);
+    frame.at(256, 192) = bad;  // on the seam shared by all four tiles
+    frame.at(511, 0) = bad;
+    const tile::TiledResult& result = tiled.process(frame, params, model, ms);
+    for (const detect::Detection& d : result.detections) {
+      EXPECT_TRUE(std::isfinite(d.score));
+    }
+  }
+  EXPECT_EQ(tiled.stats().frames, 2);
 }
 
 // --- tiled vs untiled equivalence ---
